@@ -1,10 +1,13 @@
 //! State-capture cost: what a full-system checkpoint costs to take,
-//! serialize and restore as the system grows, and what warm-forking is
+//! serialize and restore as the system grows, what the CRC-32 behind
+//! every snapshot and leg fingerprint costs, and what warm-forking is
 //! worth — M continuations fanned out of one mid-run checkpoint versus
 //! M cold runs that each repeat the warmup.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmi_gsm::pipeline::{self, PipelineCfg};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use dmi_bench::scenarios;
+use dmi_farm::leg_fingerprint;
+use dmi_kernel::crc32;
 use dmi_sw::{workloads, WorkloadCfg};
 use dmi_system::{
     mem_base, CpuSpec, McSystem, MemSpec, Snapshot, StopCondition, SystemBuilder,
@@ -28,17 +31,29 @@ fn churn_system(n: usize) -> McSystem {
 
 /// The headline GSM pipeline (2 frames, 1 wrapper memory, seed 0x5EED).
 fn gsm_system() -> McSystem {
-    let cfg = PipelineCfg {
-        n_frames: 2,
-        mem_bases: vec![mem_base(0)],
-        seed: 0x5EED,
-    };
-    let mut b = SystemBuilder::new();
-    for program in pipeline::stage_programs(&cfg) {
-        b.add_cpu(CpuSpec::new(program));
-    }
-    b.add_memory(MemSpec::wrapper(mem_base(0)));
-    b.build().expect("gsm pipeline system")
+    scenarios::gsm_headline()
+        .build()
+        .expect("gsm pipeline system")
+}
+
+/// The CRC-32 kernel on its own (1 MiB; median ns / 1,048,576 is ns per
+/// byte), and the farm's leg fingerprint — a checkpoint, its encoding
+/// and a CRC over it — on the headline system at cycle 200k.
+fn crc_cost(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exp_checkpoint/crc");
+    g.sample_size(20);
+    let buf: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+        .collect();
+    g.bench_function("crc32_1MiB", |b| b.iter(|| crc32(black_box(&buf))));
+
+    let mut sys = gsm_system();
+    sys.run_until(&StopCondition::cycles(200_000));
+    let first = leg_fingerprint(&mut sys);
+    g.bench_function("leg_fingerprint_gsm_headline_200k", |b| {
+        b.iter(|| assert_eq!(leg_fingerprint(&mut sys), first));
+    });
+    g.finish();
 }
 
 /// Checkpoint/serialize/restore cost as the component roster grows.
@@ -110,5 +125,5 @@ fn warm_fork(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, save_load_cost, warm_fork);
+criterion_group!(benches, save_load_cost, crc_cost, warm_fork);
 criterion_main!(benches);

@@ -21,6 +21,14 @@
 //!   payload     [u8; payload_len]
 //! ```
 //!
+//! The checksum is the standard CRC-32 (IEEE 802.3, reflected polynomial
+//! `0xEDB88320`, initial value and final XOR `0xFFFFFFFF`), computed by
+//! [`crc32`] with slicing-by-16. It gives the same value for every input
+//! as the classic bytewise table loop, so the algorithm is not part of
+//! the format: choosing it did not change [`SNAPSHOT_VERSION`], and the
+//! bytes of snapshots, journal and IPC frames and every fingerprint
+//! derived from them stay as they were.
+//!
 //! All integers are little-endian. Section payloads are themselves
 //! streams of the primitive encodings produced by [`StateWriter`]
 //! (fixed-width LE integers, `0/1` booleans, length-prefixed byte
@@ -139,10 +147,13 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
+// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), slicing-by-16
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-16 tables. `CRC_TABLES[0]` is the classic bytewise
+/// table; `CRC_TABLES[k][b]` is the register contribution of byte `b`
+/// followed by `k` zero bytes, so 16 lookups fold a whole 16-byte block.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -151,19 +162,57 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE) of `bytes`, as used for section checksums.
+/// CRC-32 (IEEE) of `bytes`, as used for section checksums, journal and
+/// IPC frames, catalog identities and leg fingerprints.
+///
+/// Slicing-by-16: each 16-byte block costs 16 independent table lookups
+/// instead of 16 dependent bytewise steps; the tail of fewer than 16
+/// bytes takes the bytewise step. The value equals the bytewise loop's
+/// for every input (the differential tests below pin that), so no
+/// format that carries it depends on the algorithm.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -621,12 +670,54 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The classic bytewise CRC-32 loop: the reference the sliced
+    /// kernel is pinned against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
 
     #[test]
     fn crc32_known_vectors() {
-        // Standard CRC-32 (IEEE) check values.
+        // Standard CRC-32 (IEEE) check values; the last spans two
+        // 16-byte blocks and an 11-byte tail.
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_offset() {
+        // Under Miri a few block/tail boundaries are enough.
+        let (max_len, offsets) = if cfg!(miri) { (33, 2) } else { (257, 16) };
+        let buf: Vec<u8> = (0..max_len + offsets)
+            .map(|i| (i as u32).wrapping_mul(0x9E37_79B1).rotate_left(7) as u8)
+            .collect();
+        for off in 0..offsets {
+            for len in 0..=max_len {
+                let s = &buf[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {off} length {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        #[test]
+        fn crc32_matches_bytewise_on_random_buffers(
+            bytes in prop::collection::vec(any::<u8>(), 0..if cfg!(miri) { 64 } else { 4096 })
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]
