@@ -48,6 +48,58 @@ fn kernel(c: &mut Criterion) {
         });
     }
 
+    // Subscriber fan-out with mixed edge filters: one clock whose
+    // subscribers are split between Rising, Falling and Any (every fourth
+    // also subscribed Any a second time, which the per-edge wake lists
+    // fold into one entry), plus an 8-bit Any chain where each component
+    // also watches the outputs of its two predecessors. Each clock wake
+    // rewrites the component's output, so the delta after every edge
+    // commits a burst of changes that reach most components twice — the
+    // per-delta wake dedupe's work.
+    struct Mixed {
+        clk: Wire,
+        out: Wire,
+        n: u64,
+    }
+    impl Component for Mixed {
+        fn name(&self) -> &str {
+            "mixed"
+        }
+        fn wake(&mut self, ctx: &mut Ctx<'_>) {
+            if ctx.is_signal(self.clk) {
+                self.n += 1;
+                ctx.write(self.out, self.n);
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+    c.bench_function("kernel_1k_cycles_64_components_mixed_edges", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new();
+            let clk = sim.add_clock("clk", 2);
+            let outs: Vec<Wire> = (0..64).map(|i| sim.wire(format!("m{i}"), 8)).collect();
+            for (i, &out) in outs.iter().enumerate() {
+                let id = sim.add_component(Box::new(Mixed { clk, out, n: 0 }));
+                sim.subscribe(id, clk, [Edge::Rising, Edge::Falling, Edge::Any][i % 3]);
+                if i % 4 == 0 {
+                    sim.subscribe(id, clk, Edge::Any);
+                }
+                for back in [1, 2] {
+                    if i >= back {
+                        sim.subscribe(id, outs[i - back], Edge::Any);
+                    }
+                }
+            }
+            sim.run_for(2000);
+            sim.stats().events
+        });
+    });
+
     // Timer storm: `n` components with no clock at all, each re-arming a
     // 1-tick timer on every wake — every tick dispatches `n` queued
     // events at the same (time, delta) key, the densest queued-dispatch

@@ -21,9 +21,8 @@
 //! carried directly to the next delta in a scratch list instead of
 //! round-tripping through the priority queue, carried wakes of one edge
 //! are dispatched through a single reusable [`Ctx`] frame, a clock
-//! toggle whose edge provably has no observer (per-signal
-//! edge-subscriber summaries) skips the commit scan and wake pass
-//! entirely, and periodic clock toggles live in a per-clock *calendar*
+//! toggle whose edge provably has no observer (an empty per-edge wake
+//! list) is flipped in place without a pending write, and periodic clock toggles live in a per-clock *calendar*
 //! compared against the queue head by virtual sequence numbers, so they
 //! never enter the event queue at all (`DMI_CLOCK_CALENDAR=0` restores
 //! the queued reference path).
@@ -80,7 +79,7 @@ mod trace;
 pub use component::{Component, ComponentId, Wake};
 pub use ctx::{Ctx, StopReason};
 pub use event::{Event, EventKind, EventQueue, Queue, WheelQueue, WHEEL_SLOTS};
-pub use signal::{Change, Edge, SignalBoard, SignalId, Wire};
+pub use signal::{Edge, SignalBoard, SignalId, Wire};
 pub use snapshot::{
     crc32, frame_record, next_framed_record, FrameStream, FramedRecord, Snapshot, SnapshotError,
     StateReader, StateWriter, MAX_FRAME_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -11,6 +11,8 @@
 //! hardware assignment truncates to the target width.
 
 use crate::component::ComponentId;
+use crate::time::SimTime;
+use crate::trace::Tracer;
 
 /// Identifier of a signal inside a [`SignalBoard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,12 +82,6 @@ impl Edge {
     }
 }
 
-/// Bit set in a slot's subscriber summary when any `Rising` or `Any`
-/// subscription exists (a 0→1 commit can wake someone).
-const SUBS_RISING: u8 = 0b01;
-/// Bit set when any `Falling` or `Any` subscription exists.
-const SUBS_FALLING: u8 = 0b10;
-
 #[derive(Debug)]
 struct Slot {
     name: String,
@@ -94,24 +90,20 @@ struct Slot {
     cur: u64,
     next: u64,
     dirty: bool,
+    /// Every subscription as declared, for introspection
+    /// ([`SignalBoard::subscribers`]); the update phase reads the per-edge
+    /// lists below instead.
     subs: Vec<(ComponentId, Edge)>,
-    /// Edge-direction summary of `subs` ([`SUBS_RISING`] /
-    /// [`SUBS_FALLING`]), maintained by [`SignalBoard::subscribe`] so the
-    /// simulator's clock path can prove a toggle cannot wake anyone
-    /// without scanning the subscriber list.
-    sub_mask: u8,
+    /// Components a committed change to a non-zero value wakes: the
+    /// `Rising` and `Any` subscribers, deduplicated, in first-subscription
+    /// order. On a multi-bit signal (`Any` only) this is every subscriber
+    /// and serves every change.
+    rise: Vec<ComponentId>,
+    /// Components a committed 1 → 0 change of a 1-bit signal wakes: the
+    /// `Falling` and `Any` subscribers, deduplicated, in first-subscription
+    /// order. Always empty on a multi-bit signal.
+    fall: Vec<ComponentId>,
     traced: bool,
-}
-
-/// A committed signal change: `(signal, old value, new value)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Change {
-    /// The signal that changed.
-    pub signal: SignalId,
-    /// Value before the commit.
-    pub old: u64,
-    /// Value after the commit.
-    pub new: u64,
 }
 
 /// Storage and delta-commit machinery for all signals of a simulation.
@@ -119,6 +111,13 @@ pub struct Change {
 pub struct SignalBoard {
     slots: Vec<Slot>,
     pending: Vec<SignalId>,
+    /// Per-component wake stamp, indexed by component id and sized to the
+    /// highest subscribed one: a component already holds a wake in the
+    /// current update phase exactly when its entry equals `stamp`.
+    woken_at: Vec<u32>,
+    /// Bumped once per update phase, so earlier phases' entries in
+    /// `woken_at` go stale without a reset pass (except on wrap-around).
+    stamp: u32,
     writes_total: u64,
     commits_total: u64,
 }
@@ -157,7 +156,8 @@ impl SignalBoard {
             next: 0,
             dirty: false,
             subs: Vec::new(),
-            sub_mask: 0,
+            rise: Vec::new(),
+            fall: Vec::new(),
             traced: false,
         });
         Wire { id, width }
@@ -199,22 +199,34 @@ impl SignalBoard {
 
     /// Subscribes a component to changes of `wire` matching `edge`.
     ///
+    /// A component subscribed more than once to one signal (say `Rising`
+    /// and `Any`) is still woken at most once per matching change.
+    ///
     /// # Panics
     ///
     /// Panics if an edge filter other than [`Edge::Any`] is used on a signal
     /// wider than one bit.
     pub fn subscribe(&mut self, wire: Wire, component: ComponentId, edge: Edge) {
+        if component.index() >= self.woken_at.len() {
+            self.woken_at.resize(component.index() + 1, 0);
+        }
         let slot = &mut self.slots[wire.id.index()];
         assert!(
             edge == Edge::Any || slot.width == 1,
             "edge-filtered subscription on multi-bit signal {}",
             slot.name
         );
-        slot.sub_mask |= match edge {
-            Edge::Rising => SUBS_RISING,
-            Edge::Falling => SUBS_FALLING,
-            Edge::Any => SUBS_RISING | SUBS_FALLING,
+        let (on_rise, on_fall) = match edge {
+            Edge::Rising => (true, false),
+            Edge::Falling => (false, true),
+            Edge::Any => (true, slot.width == 1),
         };
+        if on_rise && !slot.rise.contains(&component) {
+            slot.rise.push(component);
+        }
+        if on_fall && !slot.fall.contains(&component) {
+            slot.fall.push(component);
+        }
         slot.subs.push((component, edge));
     }
 
@@ -230,8 +242,8 @@ impl SignalBoard {
     #[inline]
     pub(crate) fn try_begin_quiet_toggle(&mut self, wire: Wire, rising: bool) -> bool {
         let slot = &mut self.slots[wire.id.index()];
-        let watched = if rising { SUBS_RISING } else { SUBS_FALLING };
-        if slot.dirty || slot.traced || slot.sub_mask & watched != 0 {
+        let watchers = if rising { &slot.rise } else { &slot.fall };
+        if slot.dirty || slot.traced || !watchers.is_empty() {
             return false;
         }
         self.writes_total += 1;
@@ -240,7 +252,7 @@ impl SignalBoard {
 
     /// Completes a quiet toggle at the end of its delta: flips the
     /// committed value in place, bypassing the pending list (the
-    /// transition has no observer, so no [`Change`] is produced). A write
+    /// transition has no observer, so nothing is traced or woken). A write
     /// issued to the same signal later in the delta wins instead —
     /// exactly the last-write-wins rule of the ordinary path, where the
     /// toggle's write came first.
@@ -270,26 +282,52 @@ impl SignalBoard {
         self.pending.push(wire.id);
     }
 
-    /// Commits all pending writes, appending actual changes to `out`.
+    /// The update phase of one delta cycle, in a single pass over the
+    /// pending writes: commits each one and, if the value changed, records
+    /// it in `tracer` when the signal is traced and appends the wake list
+    /// of the edge it made to `wakes` as `(component, signal)` pairs.
     ///
-    /// Returns the number of signals whose value changed.
-    pub fn commit(&mut self, out: &mut Vec<Change>) -> usize {
+    /// Wakes come out in pending-write order, each signal's list in
+    /// first-subscription order, and a component appears at most once per
+    /// call — caused by the first change that reached it.
+    pub(crate) fn update(
+        &mut self,
+        time: SimTime,
+        tracer: &mut Tracer,
+        wakes: &mut Vec<(ComponentId, SignalId)>,
+    ) {
         self.commits_total += 1;
-        let mut changed = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Entries may hold any earlier stamp: clear them once every
+            // 2^32 update phases rather than once per phase.
+            self.woken_at.fill(0);
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
         for id in self.pending.drain(..) {
             let slot = &mut self.slots[id.index()];
             slot.dirty = false;
-            if slot.next != slot.cur {
-                out.push(Change {
-                    signal: id,
-                    old: slot.cur,
-                    new: slot.next,
-                });
-                slot.cur = slot.next;
-                changed += 1;
+            if slot.next == slot.cur {
+                continue;
+            }
+            slot.cur = slot.next;
+            if slot.traced {
+                tracer.record(time, id, slot.cur);
+            }
+            let list = if slot.cur == 0 && slot.width == 1 {
+                &slot.fall
+            } else {
+                &slot.rise
+            };
+            for &cid in list {
+                let at = &mut self.woken_at[cid.index()];
+                if *at != stamp {
+                    *at = stamp;
+                    wakes.push((cid, id));
+                }
             }
         }
-        changed
     }
 
     /// Whether any write is pending (committed or not it may be a no-op).
@@ -353,7 +391,9 @@ impl SignalBoard {
     /// Serializes the board's runtime state: per-slot committed/pending
     /// values and dirty flags, the pending-write list, and the write and
     /// commit counters. Declarations (names, widths, subscriptions,
-    /// trace marks) are build-time wiring and are not serialized.
+    /// trace marks) are build-time wiring and are not serialized. Nor are
+    /// the wake stamps: the next update pass bumps the stamp past every
+    /// entry before reading one.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::StateWriter) {
         w.put_u32(self.slots.len() as u32);
         for slot in &self.slots {
@@ -407,42 +447,272 @@ impl SignalBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceRecord;
+    use proptest::prelude::*;
+
+    type Wakes = Vec<(ComponentId, SignalId)>;
+
+    fn cid(i: usize) -> ComponentId {
+        ComponentId::from_raw(i)
+    }
+
+    /// Runs one update phase, returning its wakes and trace records.
+    fn update(b: &mut SignalBoard) -> (Wakes, Vec<TraceRecord>) {
+        let mut tracer = Tracer::new();
+        let mut wakes = Vec::new();
+        b.update(SimTime::ZERO, &mut tracer, &mut wakes);
+        (wakes, tracer.records().to_vec())
+    }
+
+    /// The update phase as two passes, kept as the reference for
+    /// [`SignalBoard::update`]: first commit every pending write and
+    /// collect the `(signal, old, new)` changes, then scan each changed
+    /// signal's full subscription list with [`Edge::matches`], waking a
+    /// component only if no earlier match in this phase woke it.
+    fn oracle_update(b: &mut SignalBoard, time: SimTime, tracer: &mut Tracer, wakes: &mut Wakes) {
+        b.commits_total += 1;
+        let mut changes = Vec::new();
+        for id in b.pending.drain(..) {
+            let slot = &mut b.slots[id.index()];
+            slot.dirty = false;
+            if slot.next != slot.cur {
+                changes.push((id, slot.cur, slot.next));
+                slot.cur = slot.next;
+            }
+        }
+        let mut woken = vec![false; b.woken_at.len()];
+        for (id, old, new) in changes {
+            if b.is_traced(id) {
+                tracer.record(time, id, new);
+            }
+            for &(c, edge) in b.subscribers(id) {
+                if edge.matches(old, new) && !woken[c.index()] {
+                    woken[c.index()] = true;
+                    wakes.push((c, id));
+                }
+            }
+        }
+    }
+
+    /// A randomized board: signals, subscriptions and per-delta writes.
+    #[derive(Debug, Clone)]
+    struct BoardCfg {
+        /// Per signal: declared width and whether it is traced.
+        signals: Vec<(u8, bool)>,
+        /// `(component, signal, edge)` in subscription order; the signal
+        /// index wraps, and the edge (0 = Rising, 1 = Falling, 2 = Any)
+        /// becomes `Any` on multi-bit signals.
+        subs: Vec<(usize, usize, usize)>,
+        /// Per delta, the `(signal, value)` writes in issue order.
+        deltas: Vec<Vec<(usize, u64)>>,
+    }
+
+    /// Everything an update sequence observably produced: the wakes of
+    /// each delta, the trace, the final values and the commit count.
+    type Outcome = (Vec<Wakes>, Vec<TraceRecord>, Vec<u64>, u64);
+
+    fn run_board(cfg: &BoardCfg, fused: bool, prepare: impl FnOnce(&mut SignalBoard)) -> Outcome {
+        let mut b = SignalBoard::new();
+        let wires: Vec<Wire> = cfg
+            .signals
+            .iter()
+            .enumerate()
+            .map(|(i, &(width, traced))| {
+                let w = b.declare(format!("s{i}"), width);
+                b.set_traced(w.id(), traced);
+                w
+            })
+            .collect();
+        for &(c, s, e) in &cfg.subs {
+            let w = wires[s % wires.len()];
+            let edge = if w.width() == 1 {
+                [Edge::Rising, Edge::Falling, Edge::Any][e]
+            } else {
+                Edge::Any
+            };
+            b.subscribe(w, cid(c), edge);
+        }
+        prepare(&mut b);
+        let mut tracer = Tracer::new();
+        let mut per_delta = Vec::new();
+        for (t, writes) in cfg.deltas.iter().enumerate() {
+            for &(s, v) in writes {
+                b.write(wires[s % wires.len()], v);
+            }
+            let mut wakes = Vec::new();
+            let time = SimTime::from_ticks(t as u64);
+            if fused {
+                b.update(time, &mut tracer, &mut wakes);
+            } else {
+                oracle_update(&mut b, time, &mut tracer, &mut wakes);
+            }
+            per_delta.push(wakes);
+        }
+        let finals = wires.iter().map(|&w| b.read(w)).collect();
+        (
+            per_delta,
+            tracer.records().to_vec(),
+            finals,
+            b.commits_total(),
+        )
+    }
+
+    fn board_strategy() -> impl Strategy<Value = BoardCfg> {
+        let width = prop_oneof![3 => Just(1u8), 1 => Just(4u8), 1 => Just(64u8)];
+        // Small values make unchanged and same-value writes common; the
+        // occasional all-ones value exercises masking.
+        let value = prop_oneof![8 => 0u64..4, 1 => Just(u64::MAX)];
+        (
+            prop::collection::vec((width, any::<bool>()), 1..7),
+            // Few components over few signals: one component subscribed
+            // to one wire twice (Rising + Any, Falling + Any, or the same
+            // edge again) comes up in most cases.
+            prop::collection::vec((0usize..5, 0usize..7, 0usize..3), 0..24),
+            prop::collection::vec(
+                prop::collection::vec((0usize..7, value), 0..8),
+                1..if cfg!(miri) { 6 } else { 24 },
+            ),
+        )
+            .prop_map(|(signals, subs, deltas)| BoardCfg {
+                signals,
+                subs,
+                deltas,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 512 }))]
+
+        /// The fused single pass wakes the same components with the same
+        /// causes in the same order, and traces the same changes, as the
+        /// two-pass commit-then-scan reference.
+        #[test]
+        fn fused_update_matches_commit_then_scan(cfg in board_strategy()) {
+            prop_assert_eq!(run_board(&cfg, true, |_| {}), run_board(&cfg, false, |_| {}));
+        }
+    }
+
+    /// The dedupe stamp wraps from `u32::MAX` to 0 in the middle of a run:
+    /// the wrap must clear every entry, including ones left at small
+    /// stamps long ago that the restarted count would otherwise hit.
+    /// Components 4 and 5 watch only signal 3, which first changes in the
+    /// first delta after the wrap.
+    #[test]
+    fn wake_stamp_wraps_without_losing_wakes() {
+        let cfg = BoardCfg {
+            signals: vec![(1, true), (8, false), (1, false), (1, true)],
+            subs: vec![
+                (0, 0, 0),
+                (0, 0, 2),
+                (1, 0, 1),
+                (1, 1, 2),
+                (2, 1, 2),
+                (2, 0, 2),
+                (3, 2, 0),
+                (3, 1, 2),
+                (4, 3, 2),
+                (5, 3, 0),
+                (5, 3, 2),
+            ],
+            deltas: (0..10u64)
+                .map(|d| {
+                    let mut w = vec![(0, d % 2 + 1), (1, d), (2, d / 2 % 2 + 1), (1, d + 1)];
+                    if d >= 3 {
+                        w.push((3, d % 2));
+                    }
+                    w
+                })
+                .collect(),
+        };
+        let fused = run_board(&cfg, true, |b| {
+            // Four update phases before the wrap; entries at or below the
+            // stamp, as a long run leaves them.
+            b.stamp = u32::MAX - 3;
+            for (i, at) in b.woken_at.iter_mut().enumerate() {
+                *at = 1 + i as u32 % 2;
+            }
+        });
+        let reference = run_board(&cfg, false, |_| {});
+        assert_eq!(fused, reference);
+        assert_eq!(fused.0[3].last(), Some(&(cid(5), SignalId(3))));
+    }
 
     #[test]
     fn declare_read_write_commit() {
         let mut b = SignalBoard::new();
         let w = b.declare("w", 8);
+        b.set_traced(w.id(), true);
         assert_eq!(b.read(w), 0);
         b.write(w, 0x1ff); // masked to 8 bits
         assert_eq!(b.read(w), 0, "write not visible before commit");
-        let mut ch = Vec::new();
-        assert_eq!(b.commit(&mut ch), 1);
+        let (_, trace) = update(&mut b);
         assert_eq!(b.read(w), 0xff);
-        assert_eq!(ch.len(), 1);
-        assert_eq!(ch[0].old, 0);
-        assert_eq!(ch[0].new, 0xff);
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace[0].value, 0xff);
     }
 
     #[test]
     fn no_change_write_is_not_reported() {
         let mut b = SignalBoard::new();
         let w = b.declare("w", 4);
+        b.set_traced(w.id(), true);
+        b.subscribe(w, cid(0), Edge::Any);
         b.write(w, 0);
-        let mut ch = Vec::new();
-        assert_eq!(b.commit(&mut ch), 0);
-        assert!(ch.is_empty());
+        assert_eq!(update(&mut b), (vec![], vec![]));
+        assert!(!b.has_pending());
     }
 
     #[test]
     fn last_write_wins_within_delta() {
         let mut b = SignalBoard::new();
         let w = b.declare("w", 16);
+        b.subscribe(w, cid(0), Edge::Any);
         b.write(w, 1);
         b.write(w, 2);
         b.write(w, 3);
-        let mut ch = Vec::new();
-        assert_eq!(b.commit(&mut ch), 1);
+        assert_eq!(update(&mut b).0, vec![(cid(0), w.id())]);
         assert_eq!(b.read(w), 3);
+    }
+
+    #[test]
+    fn edge_lists_follow_the_transition() {
+        let mut b = SignalBoard::new();
+        let clk = b.declare("clk", 1);
+        b.subscribe(clk, cid(0), Edge::Rising);
+        b.subscribe(clk, cid(1), Edge::Falling);
+        b.subscribe(clk, cid(2), Edge::Any);
+        b.subscribe(clk, cid(0), Edge::Any); // twice: still one wake
+        b.write(clk, 1);
+        assert_eq!(
+            update(&mut b).0,
+            vec![(cid(0), clk.id()), (cid(2), clk.id())]
+        );
+        b.write(clk, 0);
+        assert_eq!(
+            update(&mut b).0,
+            vec![(cid(1), clk.id()), (cid(2), clk.id()), (cid(0), clk.id())]
+        );
+        assert_eq!(b.subscribers(clk.id()).len(), 4, "introspection keeps all");
+    }
+
+    #[test]
+    fn one_wake_per_component_per_delta() {
+        let mut b = SignalBoard::new();
+        let a = b.declare("a", 8);
+        let c = b.declare("c", 8);
+        b.subscribe(a, cid(0), Edge::Any);
+        b.subscribe(c, cid(0), Edge::Any);
+        b.subscribe(c, cid(1), Edge::Any);
+        b.write(c, 1);
+        b.write(a, 1);
+        // `c` was written first, so it is the cause for component 0.
+        assert_eq!(update(&mut b).0, vec![(cid(0), c.id()), (cid(1), c.id())]);
+        b.write(a, 2);
+        assert_eq!(
+            update(&mut b).0,
+            vec![(cid(0), a.id())],
+            "next delta wakes again"
+        );
     }
 
     #[test]
@@ -450,8 +720,7 @@ mod tests {
         let mut b = SignalBoard::new();
         let w = b.declare("wide", 64);
         b.write(w, u64::MAX);
-        let mut ch = Vec::new();
-        b.commit(&mut ch);
+        update(&mut b);
         assert_eq!(b.read(w), u64::MAX);
     }
 
@@ -466,7 +735,7 @@ mod tests {
     fn edge_subscription_on_bus_rejected() {
         let mut b = SignalBoard::new();
         let w = b.declare("bus", 8);
-        b.subscribe(w, ComponentId::from_raw(0), Edge::Rising);
+        b.subscribe(w, cid(0), Edge::Rising);
     }
 
     #[test]
@@ -494,8 +763,7 @@ mod tests {
         let w = b.declare("w", 8);
         b.write(w, 1);
         b.write(w, 2);
-        let mut ch = Vec::new();
-        b.commit(&mut ch);
+        update(&mut b);
         assert_eq!(b.writes_total(), 2);
         assert_eq!(b.commits_total(), 1);
         assert_eq!(b.len(), 1);

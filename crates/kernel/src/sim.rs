@@ -7,7 +7,7 @@ use crate::ctx::{Ctx, StopReason};
 use crate::event::{EventKind, Queue};
 
 use crate::event::{Event, EventQueue, WheelQueue};
-use crate::signal::{Change, Edge, SignalBoard, Wire};
+use crate::signal::{Edge, SignalBoard, SignalId, Wire};
 use crate::stats::{FastPathStats, KernelStats};
 use crate::time::SimTime;
 use crate::trace::Tracer;
@@ -195,8 +195,8 @@ impl QueueSlot {
     }
 }
 
-/// Default for the kernel's clocked-path specialization (the
-/// edge-summary commit skip and the batched same-edge dispatch), read
+/// Default for the kernel's clocked-path specialization (quiet toggles
+/// for unobserved clock edges and the batched same-edge dispatch), read
 /// from the `DMI_KERNEL_SPECIALIZE` environment variable: `0` or `off`
 /// selects the unspecialized reference path. On by default.
 ///
@@ -267,7 +267,11 @@ pub fn clock_calendar_default() -> bool {
 /// ```
 #[derive(Debug)]
 pub struct Simulator {
-    comps: Vec<Option<Box<dyn Component>>>,
+    /// Components by id. A wake borrows its component straight out of
+    /// this vector: the [`Ctx`] it gets borrows `signals`, the queue and
+    /// `stop` — disjoint fields — and nothing that reaches `comps`, so no
+    /// component can be re-entered or reach another during a wake.
+    comps: Vec<Box<dyn Component>>,
     comp_names: Vec<String>,
     signals: SignalBoard,
     queue: QueueSlot,
@@ -281,8 +285,8 @@ pub struct Simulator {
     stats: KernelStats,
     tracer: Tracer,
     delta_limit: u32,
-    /// Whether the clocked-path specialization (edge-summary commit
-    /// skip and batched same-edge dispatch) is active; the `false` path
+    /// Whether the clocked-path specialization (quiet toggles and
+    /// batched same-edge dispatch) is active; the `false` path
     /// is the unspecialized reference implementation kept for
     /// differential testing. See [`clock_specialization_default`].
     specialize: bool,
@@ -302,17 +306,13 @@ pub struct Simulator {
     /// of [`KernelStats`], which must be identical with the fast paths
     /// on or off — see [`FastPathStats`]).
     fast: FastPathStats,
-    // Scratch buffers reused across deltas to avoid per-cycle allocation.
-    changes: Vec<Change>,
-    woken: Vec<bool>,
-    woken_list: Vec<ComponentId>,
     /// Signal wakes produced by the current delta's update phase, carried
     /// directly to the next delta instead of through the event queue.
     /// Dispatch order is identical (queued timers at `(t, delta + 1)`
     /// always precede the update phase's wakes in sequence number), but
     /// the ~one-wake-per-subscriber-per-edge traffic skips the priority
     /// queue entirely — the single hottest path of clocked systems.
-    pending_wakes: Vec<(ComponentId, crate::signal::SignalId)>,
+    pending_wakes: Vec<(ComponentId, SignalId)>,
     /// Clock wires whose current-delta toggle was proven unobservable
     /// (no matching edge subscriber, no tracer, no competing write) and
     /// deferred to the update phase as a quiet in-place flip.
@@ -350,9 +350,6 @@ impl Simulator {
             calendar_on: clock_calendar_default(),
             calendar: Vec::new(),
             fast: FastPathStats::default(),
-            changes: Vec::new(),
-            woken: Vec::new(),
-            woken_list: Vec::new(),
             pending_wakes: Vec::new(),
             fast_toggles: Vec::new(),
         }
@@ -388,8 +385,8 @@ impl Simulator {
         self.specialize = on;
     }
 
-    /// Number of clock toggles that took the quiet fast path (skipped
-    /// commit scan and wake pass) across all runs.
+    /// Number of clock toggles that took the quiet fast path (flipped in
+    /// place, never a pending write) across all runs.
     pub fn quiet_toggles(&self) -> u64 {
         self.fast.quiet_toggles
     }
@@ -537,8 +534,7 @@ impl Simulator {
     pub fn add_component(&mut self, component: Box<dyn Component>) -> ComponentId {
         let id = ComponentId::from_raw(self.comps.len());
         self.comp_names.push(component.name().to_owned());
-        self.comps.push(Some(component));
-        self.woken.push(false);
+        self.comps.push(component);
         self.queue.push(self.time, 0, EventKind::Start(id));
         id
     }
@@ -636,25 +632,20 @@ impl Simulator {
     ///
     /// Returns `None` if the id is stale or `T` is not the component's type.
     pub fn component<T: 'static>(&self, id: ComponentId) -> Option<&T> {
-        self.comps
-            .get(id.index())?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        self.comps.get(id.index())?.as_any().downcast_ref::<T>()
     }
 
     /// Type-erased access to a component by id (for callers holding a
     /// probe function instead of a concrete type, e.g. bus-master stats
     /// collection).
     pub fn component_any(&self, id: ComponentId) -> Option<&dyn std::any::Any> {
-        Some(self.comps.get(id.index())?.as_ref()?.as_any())
+        Some(self.comps.get(id.index())?.as_any())
     }
 
     /// Mutable access to a component by id, downcast to its concrete type.
     pub fn component_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
         self.comps
             .get_mut(id.index())?
-            .as_mut()?
             .as_any_mut()
             .downcast_mut::<T>()
     }
@@ -859,7 +850,7 @@ impl Simulator {
                             ),
                         });
                     }
-                    EventKind::SignalWake(c, crate::signal::SignalId(raw))
+                    EventKind::SignalWake(c, SignalId(raw))
                 }
                 3 => {
                     let k = r.get_u32("event clock")?;
@@ -898,9 +889,6 @@ impl Simulator {
         // per-delta scratch (provably empty at save time, see
         // `save_state`).
         self.stop = None;
-        self.changes.clear();
-        self.woken_list.clear();
-        self.woken.iter_mut().for_each(|f| *f = false);
         self.pending_wakes.clear();
         self.fast_toggles.clear();
         Ok(())
@@ -909,11 +897,8 @@ impl Simulator {
     /// Serializes one component's state (name-tagged, then the
     /// component's own [`Component::save_state`] payload).
     pub fn save_component_state(&self, index: usize, w: &mut crate::snapshot::StateWriter) {
-        let comp = self.comps[index]
-            .as_ref()
-            .expect("component checked out during save");
         w.put_str(&self.comp_names[index]);
-        comp.save_state(w);
+        self.comps[index].save_state(w);
     }
 
     /// Restores one component's state written by
@@ -942,10 +927,7 @@ impl Simulator {
                 ),
             });
         }
-        let comp = self.comps[index]
-            .as_mut()
-            .expect("component checked out during restore");
-        comp.load_state(r)?;
+        self.comps[index].load_state(r)?;
         r.finish("component payload")
     }
 
@@ -1136,9 +1118,9 @@ impl Simulator {
                         }
                     }
                 }
-                // …then the carried signal wakes, in subscription-scan
-                // order — the exact order the queued `SignalWake` events
-                // used to pop in, without the queue round-trip.
+                // …then the carried signal wakes, in the order the update
+                // phase produced them — the order queued `SignalWake`
+                // events would pop in, without the queue round-trip.
                 if !self.pending_wakes.is_empty() {
                     let mut wakes = std::mem::take(&mut self.pending_wakes);
                     // Batched same-edge dispatch: one `Ctx` frame serves
@@ -1166,13 +1148,9 @@ impl Simulator {
                             }
                             events_left -= 1;
                             self.stats.events += 1;
-                            let mut comp = self.comps[cid.index()]
-                                .take()
-                                .expect("component re-entered during its own wake");
                             ctx.cause = Wake::Signal(sid);
                             ctx.self_id = cid;
-                            comp.wake(&mut ctx);
-                            self.comps[cid.index()] = Some(comp);
+                            self.comps[cid.index()].wake(&mut ctx);
                             self.stats.wakes += 1;
                         }
                     } else {
@@ -1205,36 +1183,18 @@ impl Simulator {
                 // Update: first finish any quiet clock toggles (their
                 // transition has no observer, so flipping in place here —
                 // where the ordinary write would have committed — is
-                // indistinguishable from the reference path), then commit
-                // writes and wake subscribers in the next delta.
+                // indistinguishable from the reference path), then one
+                // pass over the pending writes commits them, traces the
+                // changes and appends each change's per-edge wake list,
+                // deduplicated, to the next delta's carried wakes.
                 if !self.fast_toggles.is_empty() {
                     for w in self.fast_toggles.drain(..) {
                         self.signals.apply_quiet_toggle(w);
                     }
                 }
-                self.changes.clear();
-                self.signals.commit(&mut self.changes);
+                self.signals
+                    .update(t, &mut self.tracer, &mut self.pending_wakes);
                 self.stats.deltas += 1;
-
-                for &ch in &self.changes {
-                    if self.signals.is_traced(ch.signal) {
-                        self.tracer.record(t, ch.signal, ch.new);
-                    }
-                    // Clone-free iteration: subscriber lists are only
-                    // mutated during build, never during a run, so the
-                    // slice borrow is safe alongside the wake bookkeeping
-                    // (disjoint fields).
-                    for &(cid, edge) in self.signals.subscribers(ch.signal) {
-                        if edge.matches(ch.old, ch.new) && !self.woken[cid.index()] {
-                            self.woken[cid.index()] = true;
-                            self.woken_list.push(cid);
-                            self.pending_wakes.push((cid, ch.signal));
-                        }
-                    }
-                }
-                for cid in self.woken_list.drain(..) {
-                    self.woken[cid.index()] = false;
-                }
 
                 if self.stop.is_some() {
                     // A stopping run may leave this delta's subscriber
@@ -1334,10 +1294,10 @@ impl Simulator {
         let wire = clock.wire;
         let cur = self.signals.read(wire);
         let rising = cur == 0;
-        // Edge-filtered fast path: a toggle whose resulting edge has no
-        // matching subscriber (and no tracer, and no competing write) is
-        // unobservable — defer a quiet in-place flip to this delta's
-        // update phase and skip the commit/scan machinery entirely. For
+        // Quiet fast path: a toggle whose resulting edge has an empty
+        // wake list (and no tracer, and no competing write) is
+        // unobservable — defer a quiet in-place flip to the start of this
+        // delta's update phase and keep it off the pending writes. For
         // a system clocking everything on the rising edge, every second
         // half-period becomes a toggle-only event.
         if self.specialize && self.signals.try_begin_quiet_toggle(wire, rising) {
@@ -1381,22 +1341,16 @@ impl Simulator {
         time: SimTime,
         delta: u32,
     ) {
-        let mut comp = self.comps[cid.index()]
-            .take()
-            .expect("component re-entered during its own wake");
-        {
-            let mut ctx = Ctx {
-                signals: &mut self.signals,
-                queue,
-                time,
-                delta,
-                cause,
-                self_id: cid,
-                stop: &mut self.stop,
-            };
-            comp.wake(&mut ctx);
-        }
-        self.comps[cid.index()] = Some(comp);
+        let mut ctx = Ctx {
+            signals: &mut self.signals,
+            queue,
+            time,
+            delta,
+            cause,
+            self_id: cid,
+            stop: &mut self.stop,
+        };
+        self.comps[cid.index()].wake(&mut ctx);
         self.stats.wakes += 1;
     }
 }

@@ -41,7 +41,8 @@ pub struct FastPathStats {
     /// coverage ratio.
     pub clock_toggles: u64,
     /// Toggles whose resulting edge provably had no observer and were
-    /// applied as a quiet in-place flip (no commit scan, no wake pass).
+    /// applied as a quiet in-place flip (no pending write, no update
+    /// pass over it).
     pub quiet_toggles: u64,
     /// Toggles dispatched from the per-clock calendar instead of the
     /// event queue (no queue push/pop per half-period).

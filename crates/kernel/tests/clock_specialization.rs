@@ -1,16 +1,17 @@
 //! Differential tests for the kernel's clocked-path specialization, the
 //! clock calendar and the runtime queue selection.
 //!
-//! The fast paths (edge-summary quiet toggles + batched dispatch behind
+//! The fast paths (quiet toggles + batched dispatch behind
 //! `Simulator::set_clock_specialization` / `DMI_KERNEL_SPECIALIZE`, and
 //! the per-clock toggle calendar behind `Simulator::set_clock_calendar`
 //! / `DMI_CLOCK_CALENDAR`) must be **bit-identical** to their queued /
 //! unspecialized reference paths: same wake sequences (order, times,
 //! deltas, causes), same observed signal values, same [`KernelStats`],
 //! same traces — under randomized multi-clock (co-prime period)
-//! subscribe topologies, timer interleavings and event-budget
-//! interruptions. The same harness pins the binary-heap and time-wheel
-//! run loops identical.
+//! subscribe topologies (including components subscribed twice to one
+//! clock and to two links of a multi-bit chain), timer interleavings and
+//! event-budget interruptions. The same harness pins the binary-heap and
+//! time-wheel run loops identical.
 
 use std::any::Any;
 
@@ -76,6 +77,14 @@ struct CompCfg {
     /// even values exactly on toggle ticks — the interleaving the
     /// deferred-toggle semantics must survive.
     timer: u64,
+    /// A second subscription to the same clock (same encoding as
+    /// `edge`; equal to it means an exact duplicate): the component must
+    /// still wake at most once per edge.
+    dup_edge: Option<usize>,
+    /// Also subscribe `Any` to the output of the component two back, so
+    /// two changes of the multi-bit chain in one delta reach it together
+    /// and the later one must not wake it again.
+    chain2: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -91,15 +100,27 @@ struct Topology {
 }
 
 fn topology_strategy() -> impl Strategy<Value = Topology> {
-    let comp = (0usize..4, 0usize..3, any::<bool>(), any::<bool>(), 0u64..7).prop_map(
-        |(clock, edge, chain, drives, timer)| CompCfg {
-            clock,
-            edge,
-            chain,
-            drives,
-            timer,
-        },
-    );
+    let dup_edge = prop_oneof![Just(None), (0usize..3).prop_map(Some)];
+    let comp = (
+        0usize..4,
+        0usize..3,
+        any::<bool>(),
+        any::<bool>(),
+        0u64..7,
+        dup_edge,
+        any::<bool>(),
+    )
+        .prop_map(
+            |(clock, edge, chain, drives, timer, dup_edge, chain2)| CompCfg {
+                clock,
+                edge,
+                chain,
+                drives,
+                timer,
+                dup_edge,
+                chain2,
+            },
+        );
     (
         // Half-periods 1, 2, 3, 5, 7, 11: mostly pairwise co-prime, so
         // multi-clock draws produce long non-repeating edge
@@ -157,6 +178,7 @@ fn run_topology(top: &Topology, specialize: bool, calendar: bool, queue: QueueKi
         sim.trace(clocks[0]);
     }
     let mut prev_out: Option<Wire> = None;
+    let mut prev2_out: Option<Wire> = None;
     let mut ids = Vec::new();
     let mut wires = clocks.clone();
     for (i, c) in top.comps.iter().enumerate() {
@@ -167,6 +189,9 @@ fn run_topology(top: &Topology, specialize: bool, calendar: bool, queue: QueueKi
         if let Some(p) = prev_out {
             watched.push(p);
         }
+        if let (true, Some(p)) = (c.chain2, prev2_out) {
+            watched.push(p);
+        }
         let id = sim.add_component(Box::new(Probe {
             watched,
             out,
@@ -175,15 +200,22 @@ fn run_topology(top: &Topology, specialize: bool, calendar: bool, queue: QueueKi
             log: Vec::new(),
         }));
         let clk = clocks[c.clock % clocks.len()];
-        let edge = [Edge::Rising, Edge::Falling, Edge::Any][c.edge];
-        sim.subscribe(id, clk, edge);
+        let edges = [Edge::Rising, Edge::Falling, Edge::Any];
+        sim.subscribe(id, clk, edges[c.edge]);
+        if let Some(e) = c.dup_edge {
+            sim.subscribe(id, clk, edges[e]);
+        }
         if c.chain {
             if let Some(p) = prev_out {
                 sim.subscribe(id, p, Edge::Any);
             }
         }
+        if let (true, Some(p)) = (c.chain2, prev2_out) {
+            sim.subscribe(id, p, Edge::Any);
+        }
         if let Some(o) = out {
             wires.push(o);
+            prev2_out = prev_out;
             prev_out = Some(o);
         }
         ids.push(id);
