@@ -1,12 +1,14 @@
 //! State-capture cost: what a full-system checkpoint costs to take,
-//! serialize and restore as the system grows, what the CRC-32 behind
-//! every snapshot and leg fingerprint costs, and what warm-forking is
-//! worth — M continuations fanned out of one mid-run checkpoint versus
-//! M cold runs that each repeat the warmup.
+//! serialize and restore as the system grows, what building the headline
+//! system costs, what the CRC-32 behind every snapshot and leg
+//! fingerprint costs, and what warm-forking is worth — M continuations
+//! fanned out of one mid-run checkpoint versus M cold runs that each
+//! repeat the warmup.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmi_bench::scenarios;
 use dmi_farm::leg_fingerprint;
+use dmi_gsm::pipeline::{self, PipelineCfg};
 use dmi_kernel::crc32;
 use dmi_sw::{workloads, WorkloadCfg};
 use dmi_system::{
@@ -52,6 +54,33 @@ fn crc_cost(c: &mut Criterion) {
     let first = leg_fingerprint(&mut sys);
     g.bench_function("leg_fingerprint_gsm_headline_200k", |b| {
         b.iter(|| assert_eq!(leg_fingerprint(&mut sys), first));
+    });
+    g.finish();
+}
+
+/// Set-up cost of the headline system: `SystemBuilder::build` of its
+/// 4 stage CPUs and wrapper memory (the `gsm_system` configuration). The
+/// stage programs are generated once, outside the timed closure, so the
+/// row times the build (and the drop) alone; every farm leg, fork and
+/// benchmark iteration pays it again.
+fn build_cost(c: &mut Criterion) {
+    let cfg = PipelineCfg {
+        n_frames: 2,
+        mem_bases: vec![mem_base(0)],
+        seed: 0x5EED,
+    };
+    let programs = pipeline::stage_programs(&cfg);
+    let mut g = c.benchmark_group("exp_checkpoint/build");
+    g.sample_size(20);
+    g.bench_function("gsm_headline", |b| {
+        b.iter(|| {
+            let mut sb = SystemBuilder::new();
+            for p in &programs {
+                sb.add_cpu(CpuSpec::new(p.clone()));
+            }
+            sb.add_memory(MemSpec::wrapper(mem_base(0)));
+            sb.build().expect("gsm pipeline system")
+        });
     });
     g.finish();
 }
@@ -125,5 +154,5 @@ fn warm_fork(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, save_load_cost, crc_cost, warm_fork);
+criterion_group!(benches, save_load_cost, build_cost, crc_cost, warm_fork);
 criterion_main!(benches);

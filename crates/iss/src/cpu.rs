@@ -360,8 +360,13 @@ const IC_EMPTY: u32 = u32::MAX;
 const IC_MIN_LINES: usize = 64;
 
 /// Line-count cap: 16k lines cover a 64 KiB code working set — far beyond
-/// the workloads here — while keeping the cache ~0.5 MiB per core.
+/// the workloads here. At 40 B a line that is 640 KiB of lines per core
+/// at most, of which only the pages holding fetched words are resident.
 const IC_MAX_LINES: usize = 1 << 14;
+
+/// Lines per page of line storage (10 KiB): the unit the cache allocates
+/// in, on the first fill of any line in the page.
+const IC_PAGE_LINES: usize = 256;
 
 #[derive(Debug, Clone, Copy)]
 struct IcLine {
@@ -386,10 +391,18 @@ const IC_EMPTY_LINE: IcLine = IcLine {
     },
 };
 
-/// The decoded-instruction cache: direct-mapped over word indices.
+/// The decoded-instruction cache: direct-mapped over word indices. The
+/// lines live in pages allocated on first fill, so building or restoring
+/// a core writes no lines and the resident size follows the code the
+/// core fetches, not the size of its private memory.
 #[derive(Debug)]
 struct ICache {
-    lines: Box<[IcLine]>,
+    /// The lines, [`IC_PAGE_LINES`] per page; a page never filled is
+    /// `None` and reads as empty lines.
+    pages: Box<[Option<Box<[IcLine; IC_PAGE_LINES]>>]>,
+    /// Line count minus one (the line count is a power of two): maps a
+    /// word index to its line.
+    mask: usize,
     /// Addressable instruction words in local memory (`size / 4`); word
     /// indices at or above this cannot be fetched as a full word.
     words: u32,
@@ -408,7 +421,8 @@ impl ICache {
             .next_power_of_two()
             .clamp(IC_MIN_LINES, IC_MAX_LINES);
         ICache {
-            lines: vec![IC_EMPTY_LINE; len].into_boxed_slice(),
+            pages: vec![None; len.div_ceil(IC_PAGE_LINES)].into_boxed_slice(),
+            mask: len - 1,
             words,
             fused_pc: 0,
             // `fused_widx >= words` never matches, so the predictor starts
@@ -419,7 +433,24 @@ impl ICache {
 
     #[inline]
     fn slot(&self, widx: u32) -> usize {
-        (widx as usize) & (self.lines.len() - 1)
+        (widx as usize) & self.mask
+    }
+
+    /// The line at `slot`.
+    #[inline]
+    fn line(&self, slot: usize) -> IcLine {
+        match &self.pages[slot / IC_PAGE_LINES] {
+            Some(page) => page[slot % IC_PAGE_LINES],
+            None => IC_EMPTY_LINE,
+        }
+    }
+
+    /// The line at `slot` for writing, allocating its page on first use.
+    #[inline]
+    fn line_mut(&mut self, slot: usize) -> &mut IcLine {
+        let page = self.pages[slot / IC_PAGE_LINES]
+            .get_or_insert_with(|| Box::new([IC_EMPTY_LINE; IC_PAGE_LINES]));
+        &mut page[slot % IC_PAGE_LINES]
     }
 
     /// Records the sequential successor of a completed lookup.
@@ -630,7 +661,10 @@ impl CpuCore {
 
     /// Restores state written by [`CpuCore::save_state`] onto a core
     /// with the same memory geometry, resetting the decoded-instruction
-    /// cache cold.
+    /// cache cold: its line pages are dropped, not refilled, and come
+    /// back one page per first fill. The restored `icache_hits` and
+    /// `icache_misses` then count from the saved values over a cold
+    /// cache, so they can differ from a continuous run's.
     pub fn load_state(
         &mut self,
         r: &mut dmi_kernel::StateReader<'_>,
@@ -780,7 +814,7 @@ impl CpuCore {
         };
 
         let slot = self.icache.slot(widx);
-        let line = self.icache.lines[slot];
+        let line = self.icache.line(slot);
         if line.tag == widx {
             if line.gen == gen {
                 // Memory untouched since validation: the line is provably
@@ -796,14 +830,14 @@ impl CpuCore {
             // revalidate against the live word (self-modifying-code
             // safety — see the module docs).
             if self.local.untouched_since(line.gen, pc, 4) {
-                self.icache.lines[slot].gen = gen;
+                self.icache.line_mut(slot).gen = gen;
                 self.stats.icache_hits += 1;
                 self.icache.predict(pc, widx);
                 return self.exec_uop(ext, line.op);
             }
             let word = self.local.read32(pc).expect("cacheable range");
             if line.word == word {
-                self.icache.lines[slot].gen = gen;
+                self.icache.line_mut(slot).gen = gen;
                 self.stats.icache_hits += 1;
                 self.icache.predict(pc, widx);
                 return self.exec_uop(ext, line.op);
@@ -817,7 +851,7 @@ impl CpuCore {
             Ok(op) => op,
             Err(err) => return self.raise(CpuFault::Undefined { addr: pc, err }),
         };
-        self.icache.lines[slot] = IcLine {
+        *self.icache.line_mut(slot) = IcLine {
             tag: widx,
             word,
             gen,
@@ -1477,5 +1511,80 @@ fn extend(v: u32, size: MemSize) -> u32 {
         MemSize::Word => v,
         MemSize::SByte => v as u8 as i8 as i32 as u32,
         MemSize::SHalf => v as u16 as i16 as i32 as u32,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmi_gsm::pipeline::{stage_programs, PipelineCfg};
+
+    /// Indices of the allocated line pages.
+    fn resident_pages(cpu: &CpuCore) -> Vec<usize> {
+        (0..cpu.icache.pages.len())
+            .filter(|&i| cpu.icache.pages[i].is_some())
+            .collect()
+    }
+
+    /// The cache's resident size follows the code a core fetches: nothing
+    /// at construction, the pages of the program's words after a GSM
+    /// stage runs to halt, and nothing again after a restore.
+    #[test]
+    fn icache_pages_follow_the_fetched_code() {
+        const MEM: u32 = 0x8000_0000;
+        let cfg = PipelineCfg {
+            n_frames: 1,
+            mem_bases: vec![MEM],
+            seed: 0x5EED,
+        };
+        // Stage 0 only writes to shared memory and reads back zero flags
+        // and vptrs, so a flat register block lets it run alone.
+        let program = &stage_programs(&cfg)[0];
+        let mut cpu = CpuCore::new(0, LocalMemory::new(0, 0x4_0000));
+        cpu.set_predecode(true);
+        assert_eq!(cpu.icache.pages.len(), IC_MAX_LINES / IC_PAGE_LINES);
+        // The sizes the docs quote: 40 B lines, 10 KiB pages.
+        assert_eq!(std::mem::size_of::<IcLine>() * IC_PAGE_LINES, 10 << 10);
+        assert!(
+            resident_pages(&cpu).is_empty(),
+            "a fresh core owns no pages"
+        );
+
+        cpu.load_program(program);
+        let mut bus = crate::FlatBus::new(MEM, 0x20);
+        assert_eq!(cpu.run(&mut bus, 50_000_000), StepEvent::Halted);
+        assert_eq!(cpu.exit_code(), 0);
+
+        let words = program.words().len();
+        let first = program.base() as usize / 4;
+        let pages = resident_pages(&cpu);
+        assert!(!pages.is_empty());
+        assert!(
+            pages.len() <= words.div_ceil(IC_PAGE_LINES) + 1,
+            "{} pages for {words} program words",
+            pages.len()
+        );
+        // Every resident page was filled, and only with program words.
+        for page in pages {
+            let lines = cpu.icache.pages[page].as_deref().expect("resident");
+            let tags: Vec<u32> = lines
+                .iter()
+                .map(|l| l.tag)
+                .filter(|&t| t != IC_EMPTY)
+                .collect();
+            assert!(!tags.is_empty(), "page {page} was never filled");
+            assert!(
+                tags.iter()
+                    .all(|&t| (first..first + words).contains(&(t as usize))),
+                "page {page} holds a line outside the program"
+            );
+        }
+
+        let mut w = dmi_kernel::StateWriter::new();
+        cpu.save_state(&mut w);
+        let bytes = w.into_bytes();
+        cpu.load_state(&mut dmi_kernel::StateReader::new(&bytes))
+            .expect("restore");
+        assert!(resident_pages(&cpu).is_empty(), "a restore starts cold");
     }
 }

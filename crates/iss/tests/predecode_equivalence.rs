@@ -253,10 +253,7 @@ fn self_modifying_code_invalidates_cache() {
         "second pass must execute the rewritten instruction"
     );
     assert_eq!((r1_pre, passes_pre, cycles_pre), (r1_ref, passes_ref, cycles_ref));
-    assert!(
-        stats_pre.icache_hits > 0,
-        "the loop must actually hit the cache: {stats_pre:?}"
-    );
+    assert_eq!((stats_pre.icache_hits, stats_pre.icache_misses), (7, 11));
 }
 
 /// A store into already-cached code immediately before re-execution: the
@@ -300,6 +297,9 @@ fn store_to_cached_line_takes_effect_next_fetch() {
             19,
             "predecode={predecode}: rewritten add must execute on later passes"
         );
+        let s = cpu.stats();
+        let expected = if predecode { (17, 13) } else { (0, 0) };
+        assert_eq!((s.icache_hits, s.icache_misses), expected);
     }
 }
 
@@ -335,4 +335,170 @@ fn icache_counters_surface() {
     let s = cpu.stats();
     assert_eq!((s.icache_hits, s.icache_misses), (0, 0));
     assert_eq!(s.icache_hit_rate(), 0.0);
+}
+
+// Exact `(icache_hits, icache_misses)` pins on programs where the cache's
+// geometry decides the counts: any change to the line count, the mapping
+// rule or the validation protocol moves them. The counters are hashed
+// into snapshots and leg fingerprints, so they must not move by accident.
+
+/// Runs `p` on a fresh predecoding core over `mem_size` bytes of private
+/// memory to halt and returns the cache counters.
+fn icache_counts(p: &dmi_isa::Program, mem_size: u32) -> (u64, u64) {
+    let mut cpu = CpuCore::new(0, LocalMemory::new(0, mem_size));
+    cpu.set_predecode(true);
+    cpu.load_program(p);
+    assert_eq!(cpu.run(&mut dmi_iss::NoBus, 1_000_000), StepEvent::Halted);
+    let s = cpu.stats();
+    (s.icache_hits, s.icache_misses)
+}
+
+/// Code blocks one line count apart (256 KiB of private memory caps the
+/// cache at 16k lines, 64 KiB of code) evict each other on every pass of
+/// the loop that calls from one into the other; a block half a line count
+/// away shares no line with either, so a smaller cap would move the
+/// counts too.
+#[test]
+fn icache_conflict_misses_are_pinned() {
+    const LINES: u32 = 1 << 14;
+    let mut a = Asm::new();
+    a.li(Reg::R0, 20);
+    a.label("loop");
+    let loop_word = a.len() as u32;
+    a.bl("far"); // shares a line with far's first add
+    a.bl("half"); // ... its second add
+    a.sub(Reg::R0, Reg::R0, 1u32.into()); // ... its return
+    a.cmp(Reg::R0, 0u32.into());
+    a.b_cond(Cond::Ne, "loop");
+    a.swi(0);
+    a.zeros((loop_word + LINES / 2) as usize - a.len());
+    a.label("half");
+    a.add(Reg::R2, Reg::R2, 1u32.into());
+    a.ret();
+    a.zeros((loop_word + LINES) as usize - a.len());
+    a.label("far");
+    a.add(Reg::R1, Reg::R1, 1u32.into());
+    a.add(Reg::R1, Reg::R1, 1u32.into());
+    a.ret();
+    let p = a.assemble(CODE_BASE).unwrap();
+    let loop_addr = p.symbol("loop").unwrap();
+    assert_eq!(p.symbol("half").unwrap() - loop_addr, LINES * 2);
+    assert_eq!(p.symbol("far").unwrap() - loop_addr, LINES * 4);
+    // Every pass misses on far's three words and the three loop words
+    // that share their lines; after the first pass the other four hit.
+    assert_eq!(icache_counts(&p, 0x4_0000), (76, 126));
+}
+
+/// A loop whose straight-line body crosses a 256-line page boundary
+/// (word 256, byte 0x400) misses once per word and hits on every later
+/// pass on both sides of the boundary.
+#[test]
+fn icache_counts_across_a_page_boundary_are_pinned() {
+    let mut a = Asm::new();
+    a.li(Reg::R4, 0);
+    a.label("loop");
+    for _ in 0..200 {
+        a.add(Reg::R1, Reg::R1, 1u32.into());
+    }
+    a.add(Reg::R4, Reg::R4, 1u32.into());
+    a.cmp(Reg::R4, 3u32.into());
+    a.b_cond(Cond::Lt, "loop");
+    a.swi(0);
+    let p = a.assemble(0x300).unwrap();
+    assert!(p.base() < 0x400 && p.base() + p.len_bytes() > 0x400);
+    assert_eq!(icache_counts(&p, MEM_SIZE), (406, 205));
+}
+
+/// Fetches the cache cannot hold — an unaligned `pc`, a `pc` whose word
+/// would run past the end of private memory, and a `pc` outside it —
+/// bypass the cache: they execute or fault exactly as on the reference
+/// path and leave both counters untouched, even over cached words.
+#[test]
+fn uncacheable_fetches_bypass_the_cache() {
+    // Zeroed memory decodes as `andeq r0, r0, r0`: with Z clear every
+    // fetch, aligned or not, executes as a skipped instruction.
+    let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
+    cpu.set_predecode(true);
+    let run = |cpu: &mut CpuCore, pc: u32| {
+        cpu.set_pc(pc);
+        for _ in 0..16 {
+            assert!(matches!(
+                cpu.step(&mut dmi_iss::NoBus),
+                StepEvent::Executed { .. }
+            ));
+        }
+        assert_eq!(cpu.pc(), pc + 64);
+        let s = cpu.stats();
+        (s.icache_hits, s.icache_misses)
+    };
+    assert_eq!(run(&mut cpu, 0x802), (0, 0), "unaligned, cold");
+    assert_eq!(run(&mut cpu, 0x800), (0, 16), "aligned fills");
+    assert_eq!(run(&mut cpu, 0x800), (16, 16), "aligned hits");
+    assert_eq!(
+        run(&mut cpu, 0x802),
+        (16, 16),
+        "unaligned over cached words"
+    );
+    assert_eq!(cpu.stats().instructions, 64);
+
+    // Private memory at 0x100: the last half word, one past the end, and
+    // below the base.
+    for pc in [0x100 + MEM_SIZE - 2, 0x100 + MEM_SIZE, 0] {
+        let mut cpu = CpuCore::new(0, LocalMemory::new(0x100, MEM_SIZE));
+        cpu.set_predecode(true);
+        cpu.set_pc(pc);
+        let ev = cpu.step(&mut dmi_iss::NoBus);
+        assert_eq!(
+            ev,
+            StepEvent::Fault(dmi_iss::CpuFault::FetchOutOfRange(pc)),
+            "pc {pc:#x}"
+        );
+        let s = cpu.stats();
+        assert_eq!((s.icache_hits, s.icache_misses), (0, 0));
+    }
+}
+
+/// A core restored from a mid-program save starts its cache cold: the
+/// restored counters continue from the saved ones, and the rest of the
+/// run re-misses every word the loop still fetches.
+#[test]
+fn restored_core_starts_the_cache_cold() {
+    let mut a = Asm::new();
+    a.li(Reg::R0, 50);
+    a.label("loop");
+    a.sub(Reg::R0, Reg::R0, 1u32.into());
+    a.cmp(Reg::R0, 0u32.into());
+    a.b_cond(Cond::Ne, "loop");
+    a.swi(0);
+    let p = a.assemble(CODE_BASE).unwrap();
+    assert_eq!(icache_counts(&p, MEM_SIZE), (147, 5), "straight run");
+
+    let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
+    cpu.set_predecode(true);
+    cpu.load_program(&p);
+    for _ in 0..40 {
+        cpu.step(&mut dmi_iss::NoBus);
+    }
+    let s = cpu.stats();
+    assert_eq!((s.icache_hits, s.icache_misses), (36, 4), "at the save");
+    let mut w = dmi_kernel::StateWriter::new();
+    cpu.save_state(&mut w);
+    let bytes = w.into_bytes();
+
+    // Restored into a fresh core, and back into the original core after
+    // it ran to halt with every loop line cached: both start cold.
+    let mut fresh = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
+    fresh.set_predecode(true);
+    assert_eq!(cpu.run(&mut dmi_iss::NoBus, 1_000_000), StepEvent::Halted);
+    for (restored, what) in [(&mut fresh, "fresh core"), (&mut cpu, "warm core")] {
+        let mut r = dmi_kernel::StateReader::new(&bytes);
+        restored.load_state(&mut r).unwrap();
+        r.finish("cpu").unwrap();
+        assert_eq!(
+            restored.run(&mut dmi_iss::NoBus, 1_000_000),
+            StepEvent::Halted
+        );
+        let s = restored.stats();
+        assert_eq!((s.icache_hits, s.icache_misses), (144, 8), "{what}");
+    }
 }
